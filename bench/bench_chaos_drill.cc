@@ -41,9 +41,9 @@
 #include <string>
 #include <vector>
 
-#include "dispatch/chaos_drill.hh"
+#include "drills/chaos_drill.hh"
 #include "dispatch/fleet.hh"
-#include "harness/twin_driver.hh"
+#include "drills/twin_driver.hh"
 #include "sim/units.hh"
 
 using namespace insure;

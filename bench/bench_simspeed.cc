@@ -35,7 +35,7 @@
 #include "battery/battery_unit.hh"
 #include "bench_util.hh"
 #include "core/experiment.hh"
-#include "harness/batch_runner.hh"
+#include "harness/resilient_runner.hh"
 #include "sim/event_queue.hh"
 #include "sim/trace.hh"
 #include "telemetry/modbus.hh"
@@ -280,7 +280,7 @@ class CapturingReporter : public benchmark::ConsoleReporter
     }
 };
 
-/** One timed pass of the batch runner over an identical sweep. */
+/** One timed pass of the in-process runner over an identical sweep. */
 struct SweepTiming {
     unsigned jobs = 0;
     double wallSeconds = 0.0;
@@ -298,7 +298,7 @@ timeSweep(unsigned jobs, std::size_t nRuns, double hoursPerRun)
         std::snprintf(label, sizeof(label), "sweep-%02zu", i + 1);
         specs.push_back({label, bench::seismicHours(hoursPerRun)});
     }
-    const harness::BatchRunner runner(jobs);
+    harness::ResilientRunner runner(jobs);
     const auto t0 = std::chrono::steady_clock::now();
     const auto results = runner.runSeeded(std::move(specs), kDefaultSeed);
     const double wall =

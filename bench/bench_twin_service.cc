@@ -23,7 +23,7 @@
 #include <string>
 
 #include "bench_util.hh"
-#include "harness/twin_driver.hh"
+#include "drills/twin_driver.hh"
 #include "service/twin_server.hh"
 #include "sim/table.hh"
 

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "core/experiment.hh"
-#include "harness/batch_runner.hh"
+#include "harness/resilient_runner.hh"
 #include "sim/table.hh"
 
 namespace insure::bench {
@@ -89,15 +89,16 @@ printMetricComparison(const std::string &title, const core::Metrics &ins,
 }
 
 /**
- * Run a batch of labelled experiment specs through the parallel batch
- * runner. Worker count follows INSURE_JOBS (or the hardware); per-run
- * results are bit-identical at any job count, so routing every sweep
- * through here changes nothing but the wall-clock time.
+ * Run a batch of labelled experiment specs through the in-process
+ * harness::ResilientRunner. Worker count follows INSURE_JOBS (or the
+ * hardware); per-run results are bit-identical at any job count, so
+ * routing every sweep through here changes nothing but the wall-clock
+ * time.
  */
 inline std::vector<core::RunResult>
 runBatch(std::vector<core::RunSpec> specs)
 {
-    return harness::BatchRunner().run(specs);
+    return harness::ResilientRunner().run(specs);
 }
 
 /**
@@ -156,8 +157,8 @@ seismicScaled(double watts)
 
 /**
  * Build the seismic-station config truncated to @p hours of simulated
- * time — the unit of work used by the simspeed bench and batch-runner
- * throughput sweeps.
+ * time — the unit of work used by the simspeed bench and sweep
+ * throughput measurements.
  */
 inline core::ExperimentConfig
 seismicHours(double hours, std::uint64_t seed = kDefaultSeed)
@@ -210,7 +211,7 @@ struct MicroSweepRow {
 
 /**
  * The full Figs. 17-19 sweep — every (benchmark x solar level x
- * manager) combination — dispatched through the batch runner.
+ * manager) combination — dispatched through runBatch.
  */
 inline std::vector<MicroSweepRow>
 runMicroSweep(const std::vector<std::string> &names,

@@ -1,4 +1,4 @@
-#include "dispatch/chaos_drill.hh"
+#include "drills/chaos_drill.hh"
 
 #include <cstdarg>
 #include <cstdio>

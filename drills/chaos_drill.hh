@@ -32,13 +32,12 @@
  *    protocol dedupes (the campaign drill: the czar drops duplicate
  *    RESULTs by run identity) and in the decoder chaos suite.
  *
- * This lives in dispatch (not harness) because the campaign drill
- * needs the czar/supervisor stack and dispatch already links harness;
- * the reverse edge would be circular.
+ * Drill logic, not campaign machinery: it lives in the insure_drills
+ * support library, linked only by the drill benches and suites.
  */
 
-#ifndef INSURE_DISPATCH_CHAOS_DRILL_HH
-#define INSURE_DISPATCH_CHAOS_DRILL_HH
+#ifndef INSURE_DRILLS_CHAOS_DRILL_HH
+#define INSURE_DRILLS_CHAOS_DRILL_HH
 
 #include <cstdint>
 #include <iosfwd>
@@ -46,7 +45,7 @@
 #include <vector>
 
 #include "dispatch/fleet.hh"
-#include "harness/twin_driver.hh"
+#include "drills/twin_driver.hh"
 #include "service/chaos_stream.hh"
 
 namespace insure::dispatch {
@@ -159,4 +158,4 @@ TwinChaosReport replayTwinChaos(service::TwinServer &server,
 
 } // namespace insure::dispatch
 
-#endif // INSURE_DISPATCH_CHAOS_DRILL_HH
+#endif // INSURE_DRILLS_CHAOS_DRILL_HH

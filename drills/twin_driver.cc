@@ -1,4 +1,4 @@
-#include "harness/twin_driver.hh"
+#include "drills/twin_driver.hh"
 
 #include <thread>
 

@@ -18,8 +18,8 @@
  * identical response vectors — the property the TSan suite asserts.
  */
 
-#ifndef INSURE_HARNESS_TWIN_DRIVER_HH
-#define INSURE_HARNESS_TWIN_DRIVER_HH
+#ifndef INSURE_DRILLS_TWIN_DRIVER_HH
+#define INSURE_DRILLS_TWIN_DRIVER_HH
 
 #include <cstdint>
 #include <vector>
@@ -85,4 +85,4 @@ replayTwinConcurrent(service::TwinServer &server,
 
 } // namespace insure::harness
 
-#endif // INSURE_HARNESS_TWIN_DRIVER_HH
+#endif // INSURE_DRILLS_TWIN_DRIVER_HH

@@ -23,10 +23,11 @@
  *     --jobs <n>                                   (worker threads; 0=auto)
  *
  * With --runs N > 1 the configured experiment is repeated N times with
- * per-run seeds derived from --seed via Rng::split(), executed by the
- * batch runner across --jobs threads (default: INSURE_JOBS env, then
- * hardware concurrency). Per-run progress goes to stderr; the merged
- * sweep summary goes to stdout. Results are identical for any --jobs.
+ * per-run seeds derived from --seed via Rng::split(), executed by
+ * harness::ResilientRunner across --jobs threads (default: INSURE_JOBS
+ * env, then hardware concurrency). Per-run progress goes to stderr; the
+ * merged sweep summary goes to stdout. Results are identical for any
+ * --jobs.
  */
 
 #include <cstdio>
@@ -36,7 +37,7 @@
 #include <vector>
 
 #include "core/experiment.hh"
-#include "harness/batch_runner.hh"
+#include "harness/resilient_runner.hh"
 #include "sim/config.hh"
 #include "sim/table.hh"
 
@@ -208,7 +209,7 @@ runSweep(core::ExperimentConfig cfg, unsigned runs, unsigned jobs,
         std::snprintf(label, sizeof(label), "run-%03u", i + 1);
         specs.push_back({label, cfg});
     }
-    const harness::BatchRunner runner(jobs);
+    harness::ResilientRunner runner(jobs);
     const std::vector<core::RunResult> results = runner.runSeeded(
         std::move(specs), cfg.seed,
         [](const core::RunResult &r, std::size_t done, std::size_t total) {

@@ -151,7 +151,8 @@ if [ "$run_resume" = 1 ]; then
     campaign=(./build/bench/bench_fault_campaign
         --runs 6 --rate 6 --seed 2718 --jobs 2)
 
-    # Reference: an uninterrupted sweep (the plain batch-runner path).
+    # Reference: an uninterrupted sweep with no state dir, checkpoints
+    # or watchdog.
     "${campaign[@]}" --json "$drill/reference.json" >/dev/null
 
     # Victim: the same sweep with checkpoints + state dir, kill -9'd

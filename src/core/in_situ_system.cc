@@ -452,8 +452,7 @@ InSituSystem::telemetryTick(Seconds now)
             telemetry::RegisterLayout::sloStoreFill,
             static_cast<std::uint16_t>(
                 std::lround(std::clamp(fill, 0.0, 1.0) * 1000.0)));
-        const double miss =
-            interactive_->report().deadlineMissRate;
+        const double miss = t.deadlineMissRate();
         registers_.write(
             telemetry::RegisterLayout::sloMissRate,
             static_cast<std::uint16_t>(

@@ -122,7 +122,9 @@ runWorkerSession(service::ByteStream &stream, const WorkerOptions &opts)
             return finish(WorkerExit::StreamLost);
     }
 
-    harness::ResilientRunner runner(opts.runOpts);
+    // Leased runs execute one at a time through runOne; the runner's
+    // thread pool is never used.
+    harness::ResilientRunner runner(1, opts.runOpts);
 
     // The campaign config is a pure function of the sweep spec, so one
     // materialisation serves every lease of the same campaign.

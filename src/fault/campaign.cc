@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "fault/fault_injector.hh"
-#include "harness/batch_runner.hh"
 
 namespace insure::fault {
 
@@ -83,31 +82,16 @@ runFaultCampaign(const CampaignConfig &cfg)
     for (std::size_t i = 0; i < cfg.runs; ++i)
         specs.push_back(buildCampaignRunSpec(cfg, i));
 
-    harness::BatchRunner::Progress progress;
+    harness::ResilientRunner::Progress progress;
     if (cfg.progress) {
         progress = [&cfg](const core::RunResult &, std::size_t done,
                           std::size_t total) {
             cfg.progress(done, total);
         };
     }
-    // The resilient engine engages only when asked for: otherwise the
-    // campaign takes the identical plain-BatchRunner path it always has.
-    const bool resilient = !cfg.resilient.stateDir.empty() ||
-                           cfg.resilient.watchdogSeconds > 0.0 ||
-                           cfg.resilient.checkpointInterval > 0.0;
-    std::vector<core::RunResult> results;
-    if (resilient) {
-        harness::ResilientOptions opts = cfg.resilient;
-        if (opts.jobs == 0)
-            opts.jobs = cfg.jobs;
-        harness::ResilientRunner runner(std::move(opts));
-        results = runner.runSeeded(std::move(specs), cfg.masterSeed,
-                                   progress);
-    } else {
-        harness::BatchRunner runner(cfg.jobs);
-        results =
-            runner.runSeeded(std::move(specs), cfg.masterSeed, progress);
-    }
+    harness::ResilientRunner runner(cfg.jobs, cfg.resilient);
+    const std::vector<core::RunResult> results =
+        runner.runSeeded(std::move(specs), cfg.masterSeed, progress);
     return summarizeCampaign(cfg, results);
 }
 

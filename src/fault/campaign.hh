@@ -2,13 +2,13 @@
  * @file
  * Fault campaigns: seeded batch sweeps of fault-injected runs.
  *
- * A campaign replays one experiment configuration N times on the PR-1
- * batch runner (deterministic per-run child seeds from a master seed),
- * installs the same FaultPlan on every run — each run's injector
- * derives its streams from that run's child seed, so occurrences
- * differ per run but reproduce exactly — and aggregates per-run
- * outcomes plus resilience metrics into a CampaignSummary that
- * serialises to JSON (bench/bench_fault_campaign).
+ * A campaign replays one experiment configuration N times on the
+ * in-process harness::ResilientRunner (deterministic per-run child
+ * seeds from a master seed), installs the same FaultPlan on every run
+ * — each run's injector derives its streams from that run's child
+ * seed, so occurrences differ per run but reproduce exactly — and
+ * aggregates per-run outcomes plus resilience metrics into a
+ * CampaignSummary that serialises to JSON (bench/bench_fault_campaign).
  */
 
 #ifndef INSURE_FAULT_CAMPAIGN_HH
@@ -45,12 +45,12 @@ struct CampaignConfig {
      * run as failed (the sweep survives); Log keeps counts only.
      */
     validate::Policy policy = validate::Policy::Log;
-    /** Optional progress hook (forwarded to the batch runner). */
+    /** Optional progress hook (forwarded to the runner). */
     std::function<void(std::size_t done, std::size_t total)> progress;
     /**
      * Self-healing execution policy (checkpoints, watchdog, retry,
-     * resume). With every field at its default the campaign runs on the
-     * plain BatchRunner — the exact pre-existing code path.
+     * resume). With every field at its default each run is a plain
+     * core::runExperiment: no state directory, no chunking, no watchdog.
      */
     harness::ResilientOptions resilient;
     /**

@@ -1,11 +1,6 @@
 #include "harness/batch_runner.hh"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdlib>
-#include <exception>
-#include <mutex>
 #include <thread>
 
 #include "sim/logging.hh"
@@ -72,80 +67,6 @@ assignChildSeeds(std::vector<core::RunSpec> &specs,
         deriveChildSeeds(masterSeed, specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i)
         specs[i].config.seed = seeds[i];
-}
-
-BatchRunner::BatchRunner(unsigned jobs)
-    : jobs_(jobs > 0 ? clampJobs(jobs, "--jobs") : defaultJobs())
-{
-}
-
-std::vector<core::RunResult>
-BatchRunner::run(const std::vector<core::RunSpec> &specs,
-                 const Progress &progress) const
-{
-    std::vector<core::RunResult> results(specs.size());
-    std::atomic<std::size_t> nextIndex{0};
-    std::size_t done = 0;
-    std::mutex progressMutex;
-
-    auto runOne = [&](std::size_t i) {
-        const core::RunSpec &spec = specs[i];
-        core::RunResult &out = results[i];
-        out.label = spec.label;
-        out.seed = spec.config.seed;
-        out.simulatedSeconds = spec.config.duration;
-        const auto t0 = std::chrono::steady_clock::now();
-        // A run that throws (crash-testing campaigns produce these on
-        // purpose, e.g. validate::Policy::Throw) is recorded as a failed
-        // outcome; the sweep and its sibling runs carry on.
-        try {
-            out.result = core::runExperiment(spec.config);
-        } catch (const std::exception &e) {
-            out.failed = true;
-            out.error = e.what();
-        } catch (...) {
-            out.failed = true;
-            out.error = "unknown exception";
-        }
-        out.wallSeconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-        if (progress) {
-            const std::lock_guard<std::mutex> lock(progressMutex);
-            progress(out, ++done, specs.size());
-        }
-    };
-
-    const std::size_t workers =
-        std::min<std::size_t>(jobs_, specs.size());
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < specs.size(); ++i)
-            runOne(i);
-        return results;
-    }
-
-    auto worker = [&] {
-        for (std::size_t i = nextIndex.fetch_add(1); i < specs.size();
-             i = nextIndex.fetch_add(1)) {
-            runOne(i);
-        }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t t = 0; t < workers; ++t)
-        pool.emplace_back(worker);
-    for (auto &th : pool)
-        th.join();
-    return results;
-}
-
-std::vector<core::RunResult>
-BatchRunner::runSeeded(std::vector<core::RunSpec> specs,
-                       std::uint64_t masterSeed,
-                       const Progress &progress) const
-{
-    assignChildSeeds(specs, masterSeed);
-    return run(specs, progress);
 }
 
 } // namespace insure::harness

@@ -1,7 +1,8 @@
 /**
  * @file
- * Batch experiment runner: executes N independent Simulation instances
- * concurrently on a small thread pool.
+ * Seed and job-count helpers shared by every execution engine: the
+ * in-process harness::ResilientRunner and the distributed campaign
+ * czar (src/dispatch).
  *
  * Determinism contract: per-run results are bit-identical whether a
  * batch executes on 1 thread or 16. Two properties guarantee this —
@@ -16,7 +17,6 @@
 #define INSURE_HARNESS_BATCH_RUNNER_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -48,11 +48,11 @@ unsigned defaultJobs();
 /**
  * THE campaign seed derivation: the i-th run of a sweep always receives
  * the i-th split of Rng(masterSeed), derived sequentially in run order
- * before any run starts. Every execution engine — BatchRunner,
- * ResilientRunner, and the distributed campaign czar (src/dispatch) —
- * derives per-run seeds through this one function, so a run's seed is a
- * pure function of (masterSeed, run index) and can never drift between
- * the single-process oracle and a remote worker.
+ * before any run starts. Both execution engines — ResilientRunner and
+ * the distributed campaign czar (src/dispatch) — derive per-run seeds
+ * through this one function, so a run's seed is a pure function of
+ * (masterSeed, run index) and can never drift between the
+ * single-process oracle and a remote worker.
  */
 std::vector<std::uint64_t> deriveChildSeeds(std::uint64_t masterSeed,
                                             std::size_t count);
@@ -60,49 +60,6 @@ std::vector<std::uint64_t> deriveChildSeeds(std::uint64_t masterSeed,
 /** Assign deriveChildSeeds(masterSeed, specs.size()) into the specs. */
 void assignChildSeeds(std::vector<core::RunSpec> &specs,
                       std::uint64_t masterSeed);
-
-/** Executes batches of independent experiment runs concurrently. */
-class BatchRunner
-{
-  public:
-    /**
-     * Invoked once per completed run, serialised under a lock (safe to
-     * print from). @p done counts completed runs including this one.
-     */
-    using Progress = std::function<void(const core::RunResult &,
-                                        std::size_t done,
-                                        std::size_t total)>;
-
-    /**
-     * @param jobs worker threads; 0 selects defaultJobs(). A request
-     * above the hardware concurrency warns and is clamped — the runs
-     * are CPU-bound, so oversubscription only adds context switches.
-     */
-    explicit BatchRunner(unsigned jobs = 0);
-
-    /** The worker-thread count this runner executes with. */
-    unsigned jobs() const { return jobs_; }
-
-    /**
-     * Execute every spec with the seed already present in its config.
-     * Results are returned in spec order regardless of completion order.
-     */
-    std::vector<core::RunResult> run(const std::vector<core::RunSpec> &specs,
-                                     const Progress &progress = {}) const;
-
-    /**
-     * Derive a child seed for every spec from @p masterSeed — in spec
-     * order, before any run starts — then execute. Re-running with the
-     * same master seed and spec order reproduces every run exactly, at
-     * any job count.
-     */
-    std::vector<core::RunResult> runSeeded(std::vector<core::RunSpec> specs,
-                                           std::uint64_t masterSeed,
-                                           const Progress &progress = {}) const;
-
-  private:
-    unsigned jobs_;
-};
 
 } // namespace insure::harness
 

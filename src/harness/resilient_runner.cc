@@ -28,9 +28,9 @@ class WatchdogTimeout : public std::runtime_error
 
 } // namespace
 
-ResilientRunner::ResilientRunner(ResilientOptions opts)
+ResilientRunner::ResilientRunner(unsigned jobs, ResilientOptions opts)
     : opts_(std::move(opts)),
-      jobs_(opts_.jobs > 0 ? clampJobs(opts_.jobs, "--jobs") : defaultJobs())
+      jobs_(jobs > 0 ? clampJobs(jobs, "--jobs") : defaultJobs())
 {
 }
 
@@ -180,8 +180,8 @@ ResilientRunner::runOne(const core::RunSpec &spec, std::size_t i)
                 std::chrono::duration<double>(backoff));
         } catch (const std::exception &e) {
             // Deterministic failure (e.g. validate::Policy::Throw):
-            // recorded, never retried — same semantics as the plain
-            // BatchRunner.
+            // recorded, never retried; the sweep and its sibling runs
+            // carry on.
             out.failed = true;
             out.error = e.what();
             break;
@@ -212,8 +212,14 @@ ResilientRunner::runSeeded(std::vector<core::RunSpec> specs,
                            std::uint64_t masterSeed,
                            const Progress &progress)
 {
-    // Identical derivation to BatchRunner::runSeeded (shared helper).
     assignChildSeeds(specs, masterSeed);
+    return run(specs, progress);
+}
+
+std::vector<core::RunResult>
+ResilientRunner::run(const std::vector<core::RunSpec> &specs,
+                     const Progress &progress)
+{
     ensureCampaignState();
 
     std::vector<core::RunResult> results(specs.size());

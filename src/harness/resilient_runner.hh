@@ -1,7 +1,7 @@
 /**
  * @file
- * Self-healing batch campaigns on top of the PR-1 BatchRunner model:
- * the same deterministic seeded fan-out, plus crash and hang survival.
+ * The in-process execution engine: seeded batch sweeps fanned out over
+ * a small thread pool, with crash and hang survival on request.
  *
  * Each run executes in interval-sized chunks through the snapshotter,
  * committing an atomic checkpoint file between chunks. A journaled
@@ -18,14 +18,18 @@
  * with exponential backoff under a freshly derived seed (bounded
  * attempts). Only watchdog timeouts retry — a run that *throws* fails
  * deterministically (validate::Policy::Throw surfaces invariant
- * breaches this way on purpose) and is recorded as a failed result,
- * exactly as the plain BatchRunner records it.
+ * breaches this way on purpose) and is recorded as a failed result.
+ *
+ * With every ResilientOptions field at its default there is no state
+ * directory, no chunking and no watchdog: each run is one
+ * ExperimentRig driven to its duration, exactly core::runExperiment.
  */
 
 #ifndef INSURE_HARNESS_RESILIENT_RUNNER_HH
 #define INSURE_HARNESS_RESILIENT_RUNNER_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -39,8 +43,6 @@ class CampaignJournal;
 
 /** Execution policy of a self-healing campaign. */
 struct ResilientOptions {
-    /** Worker threads; 0 selects defaultJobs(). */
-    unsigned jobs = 0;
     /**
      * Campaign state directory: journal, per-run checkpoints and result
      * files live here (created if missing). Empty disables all
@@ -72,21 +74,38 @@ struct ResilientOptions {
 class ResilientRunner
 {
   public:
-    using Progress = BatchRunner::Progress;
+    /**
+     * Invoked once per completed run, serialised under a lock (safe to
+     * print from). @p done counts completed runs including this one.
+     */
+    using Progress = std::function<void(const core::RunResult &,
+                                        std::size_t done,
+                                        std::size_t total)>;
 
-    explicit ResilientRunner(ResilientOptions opts);
+    /**
+     * @param jobs worker threads; 0 selects defaultJobs(). A request
+     * above the hardware concurrency warns and is clamped — the runs
+     * are CPU-bound, so oversubscription only adds context switches.
+     */
+    explicit ResilientRunner(unsigned jobs = 0, ResilientOptions opts = {});
     ~ResilientRunner();
 
     /** The worker-thread count this runner executes with. */
     unsigned jobs() const { return jobs_; }
 
-    const ResilientOptions &options() const { return opts_; }
+    /**
+     * Execute every spec with the seed already present in its config,
+     * spec i as campaign run i. Results are returned in spec order
+     * regardless of completion order.
+     */
+    std::vector<core::RunResult> run(const std::vector<core::RunSpec> &specs,
+                                     const Progress &progress = {});
 
     /**
-     * Derive a child seed for every spec from @p masterSeed (identical
-     * derivation to BatchRunner::runSeeded, so the two runners produce
-     * the same runs), then execute under the resilience policy.
-     * Results are returned in spec order.
+     * Derive a child seed for every spec from @p masterSeed — in spec
+     * order, before any run starts (assignChildSeeds) — then run().
+     * Re-running with the same master seed and spec order reproduces
+     * every run exactly, at any job count.
      */
     std::vector<core::RunResult> runSeeded(std::vector<core::RunSpec> specs,
                                            std::uint64_t masterSeed,
@@ -97,8 +116,8 @@ class ResilientRunner
      * the campaign: checkpoint/cache files are named run-<index>.*, and
      * the spec's seed must already be set (no derivation happens here).
      *
-     * This is the execution engine runSeeded fans out over, exposed so
-     * a dispatch worker (src/dispatch) leased run @p index of a sharded
+     * This is the execution engine run() fans out over, exposed so a
+     * dispatch worker (src/dispatch) leased run @p index of a sharded
      * campaign executes it through the exact same code path — cache
      * serve on resume, checkpoint/self-heal, watchdog + reseeded
      * retries — that the single-process campaign uses. Thread-safe.

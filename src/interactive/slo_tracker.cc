@@ -72,6 +72,18 @@ SloTracker::percentile(double q) const
     return kLatCeil;
 }
 
+double
+SloTracker::deadlineMissRate() const
+{
+    const std::uint64_t finalised =
+        served_ + cachedHits_ + shed_ + droppedTimeout_ + droppedFault_;
+    if (finalised == 0)
+        return 0.0;
+    const std::uint64_t violating =
+        missedDeadline_ + shed_ + droppedTimeout_ + droppedFault_;
+    return static_cast<double>(violating) / static_cast<double>(finalised);
+}
+
 SloReport
 SloTracker::report(std::uint64_t queued) const
 {
@@ -87,14 +99,7 @@ SloTracker::report(std::uint64_t queued) const
     r.p50 = percentile(0.50);
     r.p95 = percentile(0.95);
     r.p99 = percentile(0.99);
-    const std::uint64_t finalised =
-        served_ + cachedHits_ + shed_ + droppedTimeout_ + droppedFault_;
-    if (finalised > 0) {
-        const std::uint64_t violating =
-            missedDeadline_ + shed_ + droppedTimeout_ + droppedFault_;
-        r.deadlineMissRate = static_cast<double>(violating) /
-                             static_cast<double>(finalised);
-    }
+    r.deadlineMissRate = deadlineMissRate();
     const std::uint64_t answered = served_ + cachedHits_;
     if (answered > 0) {
         r.cacheHitRate = static_cast<double>(cachedHits_) /

@@ -106,6 +106,9 @@ class SloTracker
     /** Latency of the @p q quantile (0..1) over completed requests. */
     Seconds percentile(double q) const;
 
+    /** SloReport::deadlineMissRate, without the histogram walks. */
+    double deadlineMissRate() const;
+
     /** Serialize counters + histogram (versioned, fail-loud). */
     void save(snapshot::Archive &ar) const;
 

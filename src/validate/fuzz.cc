@@ -183,7 +183,7 @@ fuzzInvariants(const FuzzOptions &opts)
         specs.push_back({std::move(fc.label), std::move(fc.config)});
     }
 
-    const harness::BatchRunner runner(opts.jobs);
+    harness::ResilientRunner runner(opts.jobs);
     const std::vector<core::RunResult> results =
         runner.run(specs, opts.progress);
 

@@ -5,7 +5,7 @@
  * Each fuzz case is derived deterministically from one 64-bit seed: the
  * seed picks the workload, manager (including ablations), weather, plant
  * size, initial charge and run length, and also seeds the run itself.
- * Cases execute concurrently through the harness::BatchRunner with a
+ * Cases execute concurrently through the harness::ResilientRunner with a
  * per-run validate::InvariantChecker attached; any violation fails the
  * case. Failing cases are shrunk (halving the run length while the
  * failure persists) and reported as a one-line reproduction recipe —
@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "core/experiment.hh"
-#include "harness/batch_runner.hh"
+#include "harness/resilient_runner.hh"
 #include "validate/invariant_checker.hh"
 
 namespace insure::validate {
@@ -55,8 +55,8 @@ struct FuzzOptions {
     bool shrink = true;
     /** Keep at most this many fully-detailed failures. */
     std::size_t maxFailures = 5;
-    /** Per-run progress callback (forwarded to the batch runner). */
-    harness::BatchRunner::Progress progress;
+    /** Per-run progress callback (forwarded to the runner). */
+    harness::ResilientRunner::Progress progress;
 };
 
 /** One failing fuzz case, after shrinking. */

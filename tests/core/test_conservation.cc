@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "core/experiment.hh"
@@ -14,7 +15,9 @@
 namespace insure::core {
 namespace {
 
-using Config = std::tuple<ManagerKind, solar::DayClass, const char *>;
+// std::string, not const char *: gtest prints a pointer parameter as
+// its address, which would put a per-process value in the test name.
+using Config = std::tuple<ManagerKind, solar::DayClass, std::string>;
 
 class ConservationProperty : public testing::TestWithParam<Config>
 {
@@ -23,7 +26,7 @@ class ConservationProperty : public testing::TestWithParam<Config>
     run()
     {
         const auto [mgr, day, workload] = GetParam();
-        ExperimentConfig cfg = std::string(workload) == "seismic"
+        ExperimentConfig cfg = workload == "seismic"
                                    ? seismicExperiment()
                                    : videoExperiment();
         cfg.manager = mgr;

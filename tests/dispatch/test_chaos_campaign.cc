@@ -16,11 +16,11 @@
 #include <thread>
 #include <vector>
 
-#include "dispatch/chaos_drill.hh"
+#include "drills/chaos_drill.hh"
 #include "dispatch/fleet.hh"
 #include "dispatch/protocol.hh"
 #include "fault/campaign.hh"
-#include "harness/twin_driver.hh"
+#include "drills/twin_driver.hh"
 #include "service/transport.hh"
 #include "sim/units.hh"
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the batch experiment runner: determinism across job counts,
- * child-seed derivation, INSURE_JOBS handling and result merging.
+ * Tests for the in-process engine's batch fan-out (ResilientRunner with
+ * default options): determinism across job counts, child-seed
+ * derivation, INSURE_JOBS handling and result merging.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +12,7 @@
 #include <cstdlib>
 #include <vector>
 
-#include "harness/batch_runner.hh"
+#include "harness/resilient_runner.hh"
 #include "sim/rng.hh"
 
 namespace insure::harness {
@@ -37,11 +38,11 @@ mixedSpecs()
 
 // The tentpole determinism contract: the same seeded batch yields
 // byte-identical per-run metrics whether executed on 1 thread or 8.
-TEST(BatchRunner, ResultsIdenticalAcrossJobCounts)
+TEST(ResilientRunner, ResultsIdenticalAcrossJobCounts)
 {
     const std::uint64_t master = 0xDECAFBADULL;
-    const auto serial = BatchRunner(1).runSeeded(mixedSpecs(), master);
-    const auto parallel = BatchRunner(8).runSeeded(mixedSpecs(), master);
+    const auto serial = ResilientRunner(1).runSeeded(mixedSpecs(), master);
+    const auto parallel = ResilientRunner(8).runSeeded(mixedSpecs(), master);
 
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -63,7 +64,7 @@ TEST(BatchRunner, ResultsIdenticalAcrossJobCounts)
     }
 }
 
-TEST(BatchRunner, ChildSeedsMatchSequentialSplit)
+TEST(ResilientRunner, ChildSeedsMatchSequentialSplit)
 {
     const std::uint64_t master = 42;
     Rng reference(master);
@@ -77,7 +78,7 @@ TEST(BatchRunner, ChildSeedsMatchSequentialSplit)
         cfg.duration = units::hours(1.0);
         specs.push_back({"r" + std::to_string(i), cfg});
     }
-    const auto results = BatchRunner(2).runSeeded(specs, master);
+    const auto results = ResilientRunner(2).runSeeded(specs, master);
     ASSERT_EQ(results.size(), expected.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
         EXPECT_EQ(results[i].seed, expected[i]);
@@ -86,7 +87,7 @@ TEST(BatchRunner, ChildSeedsMatchSequentialSplit)
     EXPECT_NE(results[0].seed, results[1].seed);
 }
 
-TEST(BatchRunner, RunKeepsSpecSeedAndOrder)
+TEST(ResilientRunner, RunKeepsSpecSeedAndOrder)
 {
     std::vector<core::RunSpec> specs;
     for (int i = 0; i < 3; ++i) {
@@ -95,7 +96,7 @@ TEST(BatchRunner, RunKeepsSpecSeedAndOrder)
         cfg.seed = 100 + static_cast<std::uint64_t>(i);
         specs.push_back({"fixed-" + std::to_string(i), cfg});
     }
-    const auto results = BatchRunner(4).run(specs);
+    const auto results = ResilientRunner(4).run(specs);
     ASSERT_EQ(results.size(), 3u);
     for (std::size_t i = 0; i < 3; ++i) {
         EXPECT_EQ(results[i].label, "fixed-" + std::to_string(i));
@@ -105,7 +106,7 @@ TEST(BatchRunner, RunKeepsSpecSeedAndOrder)
     }
 }
 
-TEST(BatchRunner, ProgressReportsEveryRunExactlyOnce)
+TEST(ResilientRunner, ProgressReportsEveryRunExactlyOnce)
 {
     std::vector<core::RunSpec> specs;
     for (int i = 0; i < 5; ++i) {
@@ -115,12 +116,12 @@ TEST(BatchRunner, ProgressReportsEveryRunExactlyOnce)
     }
     std::vector<std::size_t> doneSeen;
     std::size_t totalSeen = 0;
-    BatchRunner(3).run(specs,
-                       [&](const core::RunResult &, std::size_t done,
-                           std::size_t total) {
-                           doneSeen.push_back(done);
-                           totalSeen = total;
-                       });
+    ResilientRunner(3).run(specs,
+                           [&](const core::RunResult &, std::size_t done,
+                               std::size_t total) {
+                               doneSeen.push_back(done);
+                               totalSeen = total;
+                           });
     ASSERT_EQ(doneSeen.size(), 5u);
     EXPECT_EQ(totalSeen, 5u);
     // The callback is serialised, so `done` counts 1..N in order.
@@ -146,9 +147,9 @@ TEST(DefaultJobs, HonoursEnvironmentVariable)
 TEST(DefaultJobs, SelectsRunnerWidth)
 {
     ::setenv("INSURE_JOBS", "7", 1);
-    EXPECT_EQ(BatchRunner(0).jobs(), std::min(7u, hardwareConcurrency()));
+    EXPECT_EQ(ResilientRunner(0).jobs(), std::min(7u, hardwareConcurrency()));
     // explicit beats env
-    EXPECT_EQ(BatchRunner(2).jobs(), std::min(2u, hardwareConcurrency()));
+    EXPECT_EQ(ResilientRunner(2).jobs(), std::min(2u, hardwareConcurrency()));
     ::unsetenv("INSURE_JOBS");
 }
 
@@ -165,7 +166,7 @@ TEST(DefaultJobs, ClampsRequestsAboveHardwareWidth)
     EXPECT_EQ(clampJobs(hw + 5, "test"), hw);
     EXPECT_EQ(clampJobs(hw, "test"), hw);
     EXPECT_EQ(clampJobs(1, "test"), 1u);
-    EXPECT_EQ(BatchRunner(hw + 5).jobs(), hw);
+    EXPECT_EQ(ResilientRunner(hw + 5).jobs(), hw);
 
     char env[16];
     std::snprintf(env, sizeof(env), "%u", hw + 9);
@@ -220,7 +221,7 @@ TEST(MergeResults, SumsTotalsAndAveragesRatios)
 TEST(MergeResults, MatchesManualSumOfRealRuns)
 {
     const auto results =
-        BatchRunner(2).runSeeded(mixedSpecs(), kDefaultSeed);
+        ResilientRunner(2).runSeeded(mixedSpecs(), kDefaultSeed);
     const core::SweepSummary s = core::mergeResults(results);
     double processed = 0.0;
     double sim = 0.0;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <tuple>
 
 #include "server/cluster.hh"
@@ -20,7 +21,9 @@ nodeFor(const std::string &type)
     return type == "lowpower" ? lowPowerNode() : xeonNode();
 }
 
-using PowerCase = std::tuple<const char *, unsigned, double>;
+// std::string, not const char *: gtest prints a pointer parameter as
+// its address, which would put a per-process value in the test name.
+using PowerCase = std::tuple<std::string, unsigned, double>;
 
 class ClusterPowerSweep : public testing::TestWithParam<PowerCase>
 {

@@ -17,7 +17,7 @@
 #include <thread>
 
 #include "core/experiment.hh"
-#include "harness/twin_driver.hh"
+#include "drills/twin_driver.hh"
 #include "service/twin_client.hh"
 #include "service/twin_server.hh"
 #include "sim/units.hh"

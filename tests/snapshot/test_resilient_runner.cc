@@ -1,7 +1,7 @@
 /**
  * @file
- * Self-healing campaign tests: the ResilientRunner must reproduce the
- * plain BatchRunner's results bit for bit, serve completed runs from
+ * Self-healing campaign tests: the ResilientRunner must reproduce a
+ * serial core::runExperiment loop bit for bit, serve completed runs from
  * cache on resume, restart interrupted runs from their checkpoint,
  * retry watchdog timeouts with backoff and fresh seeds, and keep the
  * campaign JSON byte-identical whether or not a sweep was interrupted.
@@ -97,17 +97,26 @@ expectSameOutcome(const core::RunResult &a, const core::RunResult &b)
     }
 }
 
-TEST(ResilientRunner, SeededSweepMatchesBatchRunnerBitForBit)
+TEST(ResilientRunner, SeededSweepMatchesSerialRunExperimentBitForBit)
 {
     const auto specs = sweepSpecs(3);
     const std::uint64_t master = 0xFEEDFACEu;
 
-    harness::BatchRunner plain(2);
-    const auto want = plain.runSeeded(specs, master);
+    // Reference: a serial loop of core::runExperiment over the shared
+    // child-seed derivation, with no runner in the path.
+    const std::vector<std::uint64_t> seeds =
+        harness::deriveChildSeeds(master, specs.size());
+    std::vector<core::RunResult> want(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        core::ExperimentConfig cfg = specs[i].config;
+        cfg.seed = seeds[i];
+        want[i].label = specs[i].label;
+        want[i].seed = cfg.seed;
+        want[i].simulatedSeconds = cfg.duration;
+        want[i].result = core::runExperiment(cfg);
+    }
 
-    harness::ResilientOptions opts;
-    opts.jobs = 2;
-    harness::ResilientRunner resilient(opts);
+    harness::ResilientRunner resilient(2);
     const auto got = resilient.runSeeded(specs, master);
 
     ASSERT_EQ(want.size(), got.size());
@@ -122,13 +131,12 @@ TEST(ResilientRunner, ResumeServesCompletedRunsFromCache)
     const fs::path dir = stateDirFor("resilient_cache");
 
     harness::ResilientOptions opts;
-    opts.jobs = 2;
     opts.stateDir = dir.string();
-    harness::ResilientRunner first(opts);
+    harness::ResilientRunner first(2, opts);
     const auto want = first.runSeeded(specs, master);
 
     opts.resume = true;
-    harness::ResilientRunner second(opts);
+    harness::ResilientRunner second(2, opts);
     const auto got = second.runSeeded(specs, master);
 
     ASSERT_EQ(want.size(), got.size());
@@ -146,7 +154,7 @@ TEST(ResilientRunner, ResumeRestartsInterruptedRunFromCheckpoint)
     const std::uint64_t master = 0x5151u;
 
     // The reference outcome, with no persistence at all.
-    harness::ResilientRunner plain(harness::ResilientOptions{});
+    harness::ResilientRunner plain;
     const auto want = plain.runSeeded(specs, master);
     ASSERT_FALSE(want[0].failed) << want[0].error;
 
@@ -167,7 +175,7 @@ TEST(ResilientRunner, ResumeRestartsInterruptedRunFromCheckpoint)
     opts.stateDir = dir.string();
     opts.resume = true;
     opts.checkpointInterval = units::hours(0.25);
-    harness::ResilientRunner resumed(opts);
+    harness::ResilientRunner resumed(0, opts);
     const auto got = resumed.runSeeded(specs, master);
 
     expectSameOutcome(want[0], got[0]);
@@ -190,7 +198,7 @@ TEST(ResilientRunner, WatchdogTimeoutRetriesWithFreshSeedThenFails)
     opts.watchdogSeconds = 1e-9; // every attempt blows the budget
     opts.maxRetries = 1;
     opts.backoffSeconds = 0.001;
-    harness::ResilientRunner runner(opts);
+    harness::ResilientRunner runner(0, opts);
     const auto got = runner.runSeeded(specs, master);
 
     ASSERT_EQ(got.size(), 1u);
@@ -214,17 +222,17 @@ TEST(ResilientRunner, ResumeRejectsCachedResultsFromDifferentCampaign)
 
     harness::ResilientOptions opts;
     opts.stateDir = dir.string();
-    harness::ResilientRunner first(opts);
+    harness::ResilientRunner first(0, opts);
     first.runSeeded(specs, /*masterSeed=*/0x1111u);
 
     // Same state dir, different master seed: the child seeds differ, so
     // the cached result files belong to the wrong runs and must be
     // re-run, not served verbatim.
-    harness::ResilientRunner clean(harness::ResilientOptions{});
+    harness::ResilientRunner clean;
     const auto want = clean.runSeeded(specs, /*masterSeed=*/0x2222u);
 
     opts.resume = true;
-    harness::ResilientRunner resumed(opts);
+    harness::ResilientRunner resumed(0, opts);
     const auto got = resumed.runSeeded(specs, /*masterSeed=*/0x2222u);
 
     ASSERT_EQ(want.size(), got.size());
@@ -243,14 +251,14 @@ TEST(ResilientRunner, FreshCampaignClearsReusedStateDir)
 
     harness::ResilientOptions opts;
     opts.stateDir = dir.string();
-    harness::ResilientRunner bigger(opts);
+    harness::ResilientRunner bigger(0, opts);
     bigger.runSeeded(sweepSpecs(3), /*masterSeed=*/0x3333u);
     EXPECT_TRUE(fs::exists(dir / "run-0002.result"));
 
     // A fresh (resume=false) 1-run campaign in the same directory must
     // not inherit the earlier sweep's journal records or its stale
     // higher-index result files, which a later --resume could serve.
-    harness::ResilientRunner smaller(opts);
+    harness::ResilientRunner smaller(0, opts);
     smaller.runSeeded(sweepSpecs(1), /*masterSeed=*/0x4444u);
 
     EXPECT_TRUE(fs::exists(dir / "run-0000.result"));
@@ -278,7 +286,7 @@ TEST(ResilientRunner, CampaignJsonByteIdenticalAcrossInterruptAndResume)
         return os.str();
     };
 
-    // Reference: the plain BatchRunner path (all resilient defaults).
+    // Reference: no persistence, no chunking (all resilient defaults).
     const std::string want = jsonOf(fault::runFaultCampaign(cfg));
 
     // Same campaign through the resilient engine, persisting state.
